@@ -73,9 +73,10 @@ TYPESPACE_SIZES = (10_000, 100_000, 1_000_000)
 TYPESPACE_K = 512
 
 #: Largest type-space size the exact vectorized reference also runs at
-#: (the differential anchor; beyond it the exact solve is only skipped
-#: with a note, never silently).
-TYPESPACE_EXACT_MAX_N = 10_000
+#: (the differential anchor and the exact-vs-compressed wall-clock
+#: comparison; beyond it the exact solve is only skipped with a note,
+#: never silently).
+TYPESPACE_EXACT_MAX_N = 100_000
 
 _SOLVERS = ("connected", "standalone", "extragradient")
 

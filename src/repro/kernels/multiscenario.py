@@ -6,8 +6,8 @@ kernel of :mod:`repro.kernels.aggregate` already makes one solve
 ``O(n)`` per consistency evaluation, but a sweep still pays the full
 root-finding iteration count ``B`` times over — and at small ``n`` the
 per-evaluation work is far too little to amortize Python dispatch, which
-is exactly why ``BENCH_solvers.json`` shows the vectorized kernel losing
-to the scalar sweeps at ``n = 8``.
+is why ``BENCH_solvers.json`` shows the vectorized kernel only tying the
+scalar sweeps at ``n = 8``.
 
 This module batches the *scenario* axis instead.  ``B`` independent
 games are stacked into ``(B, n)`` arrays (types become ``(B, k)`` via
@@ -19,19 +19,47 @@ the aggregate solve runs across all scenarios at once:
   the well-behaved excess curves, with bisection's worst-case guarantee)
   whose active set shrinks as scenarios converge;
 * the per-miner budget multipliers of *all* scenarios' over-budget lanes
-  are resolved in one flattened bracket-and-bisect pass;
-* every bracketing, bisection, and ITP update is **per-lane frozen**: a
-  converged lane's state is never rewritten by the extra iterations its
-  batch neighbors need.  Batch composition therefore cannot perturb a
-  scenario's result — solving ``[A, B, C]`` together is bit-identical
-  to solving each alone, and :mod:`repro.kernels.aggregate` delegates
-  its single-scenario path to this kernel with ``B = 1`` so
+  are solved in closed form (below), elementwise over the ``(B, n)``
+  lanes;
+* every ITP update is **per-lane frozen**: a converged lane's state is
+  never rewritten by the extra iterations its batch neighbors need.
+  Batch composition therefore cannot perturb a scenario's result —
+  solving ``[A, B, C]`` together is bit-identical to solving each
+  alone, and :mod:`repro.kernels.aggregate` delegates its
+  single-scenario path to this kernel with ``B = 1`` so
   ``kernel="vectorized"`` *is* the batch-of-one special case.
 
-Per-scenario failure stays per-scenario: a diverging budget-multiplier
-bracket marks that scenario ``failed`` instead of aborting the batch
-(the ``B = 1`` wrapper re-raises it as the usual
-:class:`~repro.exceptions.ConvergenceError`).
+**Budget multipliers (the paper's Eq. 15 in aggregate coordinates).**
+At fixed totals ``(S, E)`` with ``A = ks/S²`` and ``Bm = kg/E²``, a
+miner with multiplier ``λ`` faces effective prices ``a_c = q_c + λ p_c``
+and ``a_e = q_e + λ p_e``, and its interior KKT point is
+``s_int = S - a_c/A``, ``e_int = E - (a_e - a_c)/Bm``,
+``c_int = s_int - e_int`` — all affine in ``λ``.  With
+``dq = q_e - q_c`` and ``dp = p_e - p_c``, its spend ``p_e·e + p_c·c``
+therefore has three affine pieces:
+
+* interior: ``dp·e_int + p_c·s_int``, slope ``-(dp²/Bm + p_c²/A)``;
+* cloud-only corner: ``p_c·s_int``, slope ``-p_c²/A``;
+* edge-only corner: ``p_e·(A·S + Bm·E - a_e)/(A + Bm)``, slope
+  ``-p_e²/(A + Bm)``.
+
+The spend is continuous where the interior meets a corner (the
+vanishing coordinate contributes nothing there) and every slope is
+negative, so it is non-increasing in ``λ``; ``spend = b`` is one linear
+equation per piece, and the candidate whose regime at its own ``λ`` is
+the piece it came from is the binding multiplier.  The one
+discontinuity is where the effective premium ``a_e - a_c`` reaches 0
+(only possible when ``dp < 0``, i.e. a shared-capacity mark-up ``ν``
+makes ``q_e > q_c`` while ``p_e < p_c``): there the branch rules switch
+to edge-only, and a miner that was interior just before (``s_int > E``)
+sees its spend drop by ``(s_int - E)·(p_c - p_e·A/(A + Bm)) > 0``.  A
+budget inside that drop has no root; the lane takes the edge corner at
+the jump ``λ = dq/(-dp)``, which spends less than ``b``.
+
+Per-scenario failure stays per-scenario: a lane whose multiplier has no
+consistent candidate or is not finite marks that scenario ``failed``
+instead of aborting the batch (the ``B = 1`` wrapper re-raises it as
+the usual :class:`~repro.exceptions.ConvergenceError`).
 
 :func:`solve_connected_multiscenario` is the solver-level entry point:
 it batches the aggregate solves, then certifies each scenario with the
@@ -46,7 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -59,22 +88,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Largest miner count at which cross-scenario batching is a measured
 #: win.  Batching amortizes per-solve dispatch, which dominates at
-#: small ``n``; by ``n ~ 768`` a solo ``(n,)`` aggregate solve is
-#: already bandwidth-efficient and the lockstep ``(B, n)`` iteration
-#: (converged lanes ride along until the active set drops them) turns
-#: into pure overhead — ~3.6x faster at ``n=256``, ~1.15x at ``n=512``,
-#: ~0.8x (slower) at ``n=768`` on the 64-scenario bench grid.  Both
-#: kernels stay bit-identical at every ``n``; auto-batching callers
-#: (the serving engine, the bench twins) respect this bound, direct
-#: calls may exceed it.
-MULTISCENARIO_MAX_N = 512
+#: small ``n``; as ``n`` grows a solo ``(n,)`` aggregate solve becomes
+#: bandwidth-efficient and the lockstep ``(B, n)`` iteration (converged
+#: lanes ride along until the active set drops them) turns into
+#: overhead.  64-scenario grids, batched over serial: 6.9x at
+#: ``n=512``, 3.9x at ``n=1024`` and 1.6x at ``n=4096`` on the bench
+#: grid; 2.3x at ``n=512`` and 1.3x at ``n=1024`` on a budget-bound
+#: heterogeneous price sweep, the harder case.  Both kernels stay
+#: bit-identical at every ``n``; auto-batching callers (the serving
+#: engine, the bench twins) respect this bound, direct calls may
+#: exceed it.
+MULTISCENARIO_MAX_N = 1024
 
 #: Budget slack below which the constraint is treated as free (the
 #: scalar kernel's ``_TOL``).
 _TOL = 1e-13
-
-#: Bisection sweeps for the per-miner budget multipliers.
-_LAM_SWEEPS = 110
 
 #: Hard cap on masked ITP iterations.  ITP's worst case is plain
 #: bisection — ~60 halvings to collapse any double-precision bracket —
@@ -89,6 +117,12 @@ _ITP_K1_SCALE = 0.2
 # compressed points ``x`` for the active lanes ``act`` (indices into
 # the root-finder's lane axis).
 _ExcessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# A per-scenario coefficient of the lane kernels: an ``(m, 1)`` column
+# broadcast against ``(m, n)`` lanes, a float for a lone scenario, or a
+# flat per-lane vector; and a regime mask of the same shapes.
+_Col = Union[float, np.ndarray]
+_Mask = Union[bool, np.ndarray]
 
 
 def _wsum_rows(values: np.ndarray,
@@ -231,147 +265,143 @@ def _itp_root_scalar(f: _ExcessFn, a: float, b: float,
     return 0.5 * (a + b)
 
 
-def _lane_responses(S: np.ndarray, E: np.ndarray, lam: np.ndarray,
-                    a_e0: np.ndarray, a_c0: np.ndarray,
-                    p_e: np.ndarray, p_c: np.ndarray,
-                    A: np.ndarray, Bm: np.ndarray,
-                    AB: np.ndarray, ASBE: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-miner KKT responses at totals ``(S, E)``, multipliers ``λ``.
+def _lane_terms(S: _Col, E: _Col, lam: _Col, a_e0: _Col, a_c0: _Col,
+                p_e: _Col, p_c: _Col, A: _Col, Bm: _Col
+                ) -> Tuple[_Col, _Col, _Col, _Col, _Col]:
+    """KKT terms at totals ``(S, E)`` and multipliers ``λ``.
 
-    Shape-generic: callers pass ``(m, 1)`` per-scenario columns against
-    ``(m, n)`` lane arrays, or flat per-lane vectors — every operation
-    is elementwise, which is what makes the batch bit-identical to the
-    scenario-at-a-time evaluation.  The coefficients that depend only
-    on the totals — ``A = ks/S²``, ``Bm = kg/E²``, ``AB = A + Bm``,
-    ``ASBE = A·S + Bm·E`` — are hoisted to the caller because the
-    budget-multiplier search evaluates this function dozens of times at
-    fixed ``(S, E)``.
+    Returns ``(a_e, s_int, da, e_int, c_int)``, all affine in ``λ``: the
+    effective edge price, the interior solution's total coordinate, the
+    effective edge premium ``a_e - a_c``, and the interior solution's
+    edge and cloud coordinates.  The last three decide the regime
+    (:func:`_regime`), the responses follow from it
+    (:func:`_corner_responses`).
 
-    Mirrors the scalar ``_candidate`` branch order: a non-positive
-    effective premium forces edge-only; otherwise the interior linear
-    system is tried and negative coordinates drop to the cloud-only or
-    edge-only corner (``e < 0`` checked before ``c < 0``).
+    Shape-generic: callers pass ``(m, 1)`` per-scenario columns (floats
+    when ``m = 1``) against ``(m, n)`` lane arrays, or flat per-lane
+    vectors — every operation is elementwise, which is what makes the
+    batch bit-identical to the scenario-at-a-time evaluation.  The
+    coefficients that depend only on the totals — ``A = ks/S²``,
+    ``Bm = kg/E²`` (and ``AB = A + Bm``, ``ASBE = A·S + Bm·E`` for the
+    edge corner) — are hoisted to the caller.
     """
     a_c = a_c0 + lam * p_c
     a_e = a_e0 + lam * p_e
     da = a_e - a_c
     s_int = S - a_c / A
     e_int = E - da / Bm
-    c_int = s_int - e_int
+    return a_e, s_int, da, e_int, s_int - e_int
+
+
+def _regime(da: _Col, e_int: _Col, c_int: _Col) -> Tuple[_Mask, _Mask]:
+    """Cloud-only and edge-only masks (neither set means interior).
+
+    Mirrors the scalar ``_candidate`` branch order: a non-positive
+    effective premium forces edge-only; otherwise negative interior
+    coordinates drop to the cloud-only or edge-only corner (``e < 0``
+    checked before ``c < 0``).
+    """
     cloud = (da > 0.0) & (e_int < 0.0)
-    edge = (da <= 0.0) | ((da > 0.0) & (e_int >= 0.0) & (c_int < 0.0))
+    edge = (da <= 0.0) | ((e_int >= 0.0) & (c_int < 0.0))
+    return cloud, edge
+
+
+def _corner_responses(a_e: _Col, s_int: _Col, e_int: _Col, c_int: _Col,
+                      cloud: _Mask, edge: _Mask, AB: _Col, ASBE: _Col
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Responses ``(e, c)`` in the regime selected by ``cloud``/``edge``."""
     e = np.where(cloud | edge, 0.0, np.maximum(e_int, 0.0))
     c = np.where(cloud, np.maximum(s_int, 0.0),
                  np.where(edge, 0.0, np.maximum(c_int, 0.0)))
-    if edge.any():
+    if np.any(edge):
         e_eo = (ASBE - a_e) / AB
         e = np.where(edge, np.maximum(e_eo, 0.0), e)
     return e, c
 
 
-def _lane_responses_scalar(S: float, E: float, a_e0: float, a_c0: float,
-                           A: float, Bm: float, AB: float, ASBE: float
-                           ) -> Tuple[float, float]:
-    """Zero-``λ`` KKT response in pure Python floats.
+def _corner_response_scalar(a_e: _Col, s_int: _Col, e_int: _Col,
+                            c_int: _Col, cloud: _Mask, edge: _Mask,
+                            AB: _Col, ASBE: _Col) -> Tuple[float, float]:
+    """:func:`_corner_responses` for one lane of Python floats.
 
-    At ``λ = 0`` every miner faces identical effective prices, so the
-    response is one scalar computation; this mirrors
-    :func:`_lane_responses` branch for branch (no NaN can reach the
-    ``max``/``np.maximum`` seam: all inputs are finite and the
-    coefficients positive), making it bit-identical to evaluating the
-    array path and reading any one lane.
+    The free (``λ = 0``) response of a lone scenario is a single lane;
+    branching in Python performs the same IEEE-754 operations as the
+    array path (finite inputs, so ``max`` and ``np.maximum`` agree)
+    without a dozen numpy calls on scalars.
     """
-    da = a_e0 - a_c0
-    s_int = S - a_c0 / A
-    e_int = E - da / Bm
-    c_int = s_int - e_int
-    cloud = da > 0.0 and e_int < 0.0
-    edge = da <= 0.0 or (da > 0.0 and e_int >= 0.0 and c_int < 0.0)
     if edge:
-        return max((ASBE - a_e0) / AB, 0.0), 0.0
+        return max(float((ASBE - a_e) / AB), 0.0), 0.0
     if cloud:
-        return 0.0, max(s_int, 0.0)
-    return max(e_int, 0.0), max(c_int, 0.0)
+        return 0.0, max(float(s_int), 0.0)
+    return max(float(e_int), 0.0), max(float(c_int), 0.0)
 
 
-def _budget_responses_single(S: np.ndarray, E: np.ndarray,
-                             budgets: np.ndarray, q_e: np.ndarray,
-                             q_c: np.ndarray, ks: np.ndarray,
-                             kg: np.ndarray, p_e: np.ndarray,
-                             p_c: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray,
-                                        Optional[np.ndarray]]:
-    """Single-scenario specialization of :func:`_budget_responses`.
+def _budget_multipliers(S: _Col, E: _Col, b: np.ndarray, q_e: _Col,
+                        q_c: _Col, p_e: _Col, p_c: _Col, A: _Col,
+                        Bm: _Col, AB: _Col, ASBE: _Col
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray]:
+    """Exact budget multipliers ``λ`` solving ``spend(λ) = b`` per lane.
 
-    The batched path broadcasts ``(m, 1)`` scenario columns against
-    ``(m, n)`` lane arrays; at ``m = 1`` those columns are scalars and
-    the zero-``λ`` pass collapses to one float computation (miners
-    differ only through their budget multipliers).  Scalar-vs-column
-    broadcasting performs the same IEEE-754 operations, so this path is
-    bit-identical to the general one — it exists purely to strip numpy
-    dispatch overhead from solo (``B = 1``) solves and from batches
-    whose active set has shrunk to one scenario.
+    Shape-generic like :func:`_lane_terms`; meaningful for lanes
+    that overspend at ``λ = 0``.  ``spend = b`` is solved in closed form
+    on each affine piece of the spend curve (module docstring), clamped
+    at 0, and the candidate whose regime — under :func:`_regime`'s
+    own rules, at that ``λ`` — is the piece it came from is kept
+    (interior, then cloud, then edge if several are).  If ``p_e < p_c``
+    the spend jumps down where the effective premium ``da`` reaches 0;
+    a budget inside that gap has no root, so the lane takes the edge
+    corner at the jump ``λ = dq/(-dp)`` — the point where spend falls
+    below ``b``, and the limit a bisection on ``λ`` converges to.  A
+    budget on a breakpoint can leave no candidate in its own regime,
+    each of the two meeting ones in the other's; that tie goes to the
+    first piece in the order above, evaluated on that piece.
+
+    Returns ``(lam, cloud, edge, ok)``: the multipliers, the regime to
+    evaluate them in (neither mask set means interior), and
+    ``ok = False`` where no candidate is consistent or ``λ`` is not
+    finite.
     """
-    s = float(S[0])
-    ev = float(E[0])
-    A = float(ks[0]) / (s * s)
-    Bm = float(kg[0]) / (ev * ev)
-    AB = A + Bm
-    ASBE = A * s + Bm * ev
-    qe = float(q_e[0])
-    qc = float(q_c[0])
-    pe = float(p_e[0])
-    pc = float(p_c[0])
-    e0, c0 = _lane_responses_scalar(s, ev, qe, qc, A, Bm, AB, ASBE)
-    spend0 = pe * e0 + pc * c0
-    b = budgets[0]
-    over = spend0 > b + _TOL
-    e = np.full(b.shape, e0)
-    c = np.full(b.shape, c0)
-    if not over.any():
-        return e[None, :], c[None, :], None
-    bb = b[over]
+    dq = q_e - q_c
+    dp = p_e - p_c
+    s0 = S - q_c / A
+    e0 = E - dq / Bm
+    eo0 = (ASBE - q_e) / AB
+    lam_i = np.maximum(
+        (dp * e0 + p_c * s0 - b) / (dp * dp / Bm + p_c * p_c / A), 0.0)
+    lam_c = np.maximum((p_c * s0 - b) / (p_c * p_c / A), 0.0)
+    lam_e = np.maximum((p_e * eo0 - b) / (p_e * p_e / AB), 0.0)
 
-    def lane_spend(lam: np.ndarray) -> np.ndarray:
-        es, cs = _lane_responses(s, ev, lam, qe, qc, pe, pc,
-                                 A, Bm, AB, ASBE)
-        return pe * es + pc * cs
+    def regime_at(lam: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        cloud, edge = _regime(*_lane_terms(S, E, lam, q_e, q_c, p_e, p_c,
+                                           A, Bm)[2:])
+        return np.asarray(cloud), np.asarray(edge)
 
-    lo = np.zeros_like(bb)
-    hi = np.ones_like(bb)
-    dead = np.zeros(bb.shape, dtype=bool)
-    broke = False
-    for _ in range(70):
-        grow = (lane_spend(hi) > bb) & ~dead
-        if not grow.any():
-            broke = True
-            break
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, 2.0 * hi, hi)
-        blown = hi > 1e18
-        if blown.any():
-            dead |= blown
-            hi = np.where(blown, 1e18, hi)
-    if not broke:
-        dead |= (lane_spend(hi) > bb)
-    done = dead.copy()
-    for _ in range(_LAM_SWEEPS):
-        mid = 0.5 * (lo + hi)
-        done |= (mid <= lo) | (mid >= hi)
-        if done.all():
-            break
-        act = ~done
-        high = act & (lane_spend(mid) > bb)
-        lo = np.where(high, mid, lo)
-        hi = np.where(act & ~high, mid, hi)
-    es, cs = _lane_responses(s, ev, 0.5 * (lo + hi), qe, qc, pe, pc,
-                             A, Bm, AB, ASBE)
-    e[over] = es
-    c[over] = cs
-    if dead.any():
-        return e[None, :], c[None, :], np.array([True])
-    return e[None, :], c[None, :], None
+    cl_i, ed_i = regime_at(lam_i)
+    cl_c, ed_c = regime_at(lam_c)
+    cl_e, ed_e = regime_at(lam_e)
+    interior = ~(cl_i | ed_i)
+    cloud = ~interior & cl_c
+    ok = interior | cl_c | ed_e
+    lam = np.where(interior, lam_i, np.where(cl_c, lam_c, lam_e))
+    rest = ~ok
+    if np.any(rest):
+        # The jump, or a root within rounding of a breakpoint, where
+        # each of the two meeting candidates lands in the other's
+        # regime: a tie, resolved to the first piece.  The jump goes
+        # first because its two candidates cross the same way.
+        lam_j = np.where(dp < 0.0, dq, np.nan) / np.where(dp < 0.0, -dp,
+                                                          1.0)
+        jump = rest & (lam_e <= lam_j) & (lam_j < lam_i)
+        rest &= ~jump
+        tie_i = rest & ((cl_i & ~(cl_c | ed_c)) | (ed_i & ~(cl_e | ed_e)))
+        tie_c = rest & ~tie_i & ed_c & cl_e
+        lam = np.where(jump, lam_j,
+                       np.where(tie_i, lam_i, np.where(tie_c, lam_c, lam)))
+        interior = interior | tie_i
+        cloud = cloud | tie_c
+        ok = ok | jump | tie_i | tie_c
+    return lam, cloud, ~(interior | cloud), ok & np.isfinite(lam)
 
 
 def _budget_responses(S: np.ndarray, E: np.ndarray, budgets: np.ndarray,
@@ -382,86 +412,57 @@ def _budget_responses(S: np.ndarray, E: np.ndarray, budgets: np.ndarray,
                                  Optional[np.ndarray]]:
     """Responses at totals ``(S, E)`` with budget multipliers resolved.
 
-    All scenarios' over-budget lanes are flattened into one vector and
-    share the bracket-doubling + bisection passes; both loops freeze a
-    lane the moment it stops moving, so each lane's multiplier bits
-    match the lane-alone computation regardless of batch company.
+    At fixed totals the miners of a scenario differ only through their
+    budgets, so every coefficient is an ``(m, 1)`` scenario column and
+    only the budgets (hence the multipliers) are ``(m, n)``.  The free
+    (``λ = 0``) response is one column; the lanes it overspends take
+    the multipliers of :func:`_budget_multipliers`.  Every operation is
+    elementwise, so each lane's bits match the lane-alone computation
+    regardless of batch company.
 
     Returns ``(e, c, bad)`` where ``bad`` (or ``None``) flags scenarios
-    whose multiplier bracket diverged — the per-scenario analogue of
-    the solo kernel's :class:`ConvergenceError`.
+    with a lane whose multiplier could not be resolved — the
+    per-scenario analogue of the solo kernel's
+    :class:`ConvergenceError`.
     """
-    if S.shape[0] == 1:
-        return _budget_responses_single(S, E, budgets, q_e, q_c, ks, kg,
-                                        p_e, p_c)
-    zero = np.zeros_like(budgets)
-    col = (slice(None), None)
-    Sc = S[col]
-    Ec = E[col]
-    A = ks[col] / (Sc * Sc)
-    Bm = kg[col] / (Ec * Ec)
+    lone = S.shape[0] == 1
+    per_scenario = (S, E, q_e, q_c, ks, kg, p_e, p_c)
+    cols: Tuple[_Col, ...]
+    if lone:
+        # Python floats for a lone scenario: the same IEEE-754 operations
+        # (hence bits) without numpy dispatch on (1, 1) arrays.
+        cols = tuple(float(x[0]) for x in per_scenario)
+    else:
+        cols = tuple(x[:, None] for x in per_scenario)
+    Sc, Ec, qe, qc, ksc, kgc, pe, pc = cols
+    A = ksc / (Sc * Sc)
+    Bm = kgc / (Ec * Ec)
     AB = A + Bm
     ASBE = A * Sc + Bm * Ec
-    e, c = _lane_responses(Sc, Ec, zero, q_e[col], q_c[col],
-                           p_e[col], p_c[col], A, Bm, AB, ASBE)
-    spend = p_e[col] * e + p_c[col] * c
-    over = spend > budgets + _TOL
+    a_e, s_int, da, e_int, c_int = _lane_terms(Sc, Ec, 0.0, qe, qc, pe, pc,
+                                               A, Bm)
+    cloud, edge = _regime(da, e_int, c_int)
+    e0: _Col
+    c0: _Col
+    if lone:
+        e0, c0 = _corner_response_scalar(a_e, s_int, e_int, c_int, cloud,
+                                         edge, AB, ASBE)
+    else:
+        e0, c0 = _corner_responses(a_e, s_int, e_int, c_int, cloud, edge,
+                                   AB, ASBE)
+    over = pe * e0 + pc * c0 > budgets + _TOL
     if not over.any():
-        return e, c, None
-    si, _ = np.nonzero(over)
-    bb = budgets[over]
-    Sl = S[si]
-    El = E[si]
-    qel = q_e[si]
-    qcl = q_c[si]
-    pel = p_e[si]
-    pcl = p_c[si]
-    Al = A[si, 0]
-    Bml = Bm[si, 0]
-    ABl = AB[si, 0]
-    ASBEl = ASBE[si, 0]
-
-    def lane_spend(lam: np.ndarray) -> np.ndarray:
-        es, cs = _lane_responses(Sl, El, lam, qel, qcl, pel, pcl,
-                                 Al, Bml, ABl, ASBEl)
-        return pel * es + pcl * cs
-
-    lo = np.zeros_like(bb)
-    hi = np.ones_like(bb)
-    dead = np.zeros(bb.shape, dtype=bool)
-    broke = False
-    for _ in range(70):
-        grow = (lane_spend(hi) > bb) & ~dead
-        if not grow.any():
-            broke = True
-            break
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, 2.0 * hi, hi)
-        blown = hi > 1e18
-        if blown.any():
-            dead |= blown
-            hi = np.where(blown, 1e18, hi)
-    if not broke:
-        dead |= (lane_spend(hi) > bb)
-    done = dead.copy()
-    for _ in range(_LAM_SWEEPS):
-        mid = 0.5 * (lo + hi)
-        done |= (mid <= lo) | (mid >= hi)
-        if done.all():
-            break
-        act = ~done
-        high = act & (lane_spend(mid) > bb)
-        lo = np.where(high, mid, lo)
-        hi = np.where(act & ~high, mid, hi)
-    es, cs = _lane_responses(Sl, El, 0.5 * (lo + hi), qel, qcl,
-                             pel, pcl, Al, Bml, ABl, ASBEl)
-    e[over] = es
-    c[over] = cs
-    if dead.any():
-        bad = np.zeros(S.shape[0], dtype=bool)
-        bad[si[dead]] = True
-        return e, c, bad
-    return e, c, None
+        return (np.full(budgets.shape, e0), np.full(budgets.shape, c0),
+                None)
+    lam, cloud, edge, ok = _budget_multipliers(
+        Sc, Ec, budgets, qe, qc, pe, pc, A, Bm, AB, ASBE)
+    a_e, s_int, _, e_int, c_int = _lane_terms(Sc, Ec, lam, qe, qc,
+                                              pe, pc, A, Bm)
+    e, c = _corner_responses(a_e, s_int, e_int, c_int, cloud, edge,
+                             AB, ASBE)
+    bad = np.any(over & ~ok, axis=1)
+    return (np.where(over, e, e0), np.where(over, c, c0),
+            bad if bad.any() else None)
 
 
 def _single_pool_batch(gi: np.ndarray, k_tot: np.ndarray, a: np.ndarray,

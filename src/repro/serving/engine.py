@@ -382,8 +382,9 @@ class ServingEngine:
                 results[i] = ScenarioResult(spec=spec, key=key,
                                             value=value, source=layer,
                                             elapsed=elapsed)
-                if self.warm_start:
-                    # A disk hit has not been indexed this process yet.
+                if self.warm_start and layer == "disk":
+                    # A disk hit has not been indexed this process yet;
+                    # a memory hit was indexed when it was admitted.
                     self.warm_index.add(spec, key, value)
             else:
                 first_seen[key] = i

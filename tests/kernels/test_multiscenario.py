@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core import GameParameters, Prices, homogeneous
 from repro.core.nep import solve_connected_equilibrium
 from repro.exceptions import ConvergenceError
+from repro.kernels import multiscenario as ms
 from repro.kernels import solve_connected_multiscenario
 
 
@@ -146,6 +147,56 @@ class TestHypothesisDraws:
                 # must have rejected it too (None), never fabricated.
                 assert eq is None
                 continue
+            assert eq is not None
+            assert np.array_equal(eq.e, ref.e)
+            assert np.array_equal(eq.c, ref.c)
+            assert eq.report.iterations == ref.report.iterations
+
+
+class TestMixedRegimes:
+    """Over-budget lanes on every piece of the closed-form multiplier."""
+
+    @staticmethod
+    def _scenarios():
+        # (params, prices, nu): geometric budgets from starved to rich.
+        # The first scenario's bound lanes pass through the interior,
+        # cloud-only and edge-only pieces during the solve; the second
+        # (p_e < p_c with a shared-capacity mark-up nu) adds the edge
+        # corner at the zero-premium jump.
+        return [
+            (GameParameters(reward=2000.0, fork_rate=0.2, h=0.8,
+                            budgets=np.geomspace(0.5, 400.0, 8)),
+             Prices(2.0, 1.0), 0.0),
+            (GameParameters(reward=1800.0, fork_rate=0.5, h=0.4,
+                            budgets=np.geomspace(1.0, 400.0, 8)),
+             Prices(1.5, 2.0), 1.0),
+        ]
+
+    def test_batch_and_solo_bit_identical_on_every_piece(self,
+                                                          monkeypatch):
+        seen = {"interior": 0, "cloud": 0, "edge": 0, "jump": 0}
+        real = ms._budget_multipliers
+
+        def recording(S, E, b, q_e, q_c, p_e, p_c, *rest):
+            lam, cloud, edge, ok = real(S, E, b, q_e, q_c, p_e, p_c, *rest)
+            dp = np.broadcast_to(np.subtract(p_e, p_c), lam.shape)
+            dq = np.broadcast_to(np.subtract(q_e, q_c), lam.shape)
+            jump = (dp < 0.0) & (lam == dq / np.where(dp < 0.0, -dp, 1.0))
+            bound = lam > 0.0
+            seen["interior"] += int(np.sum(bound & ~cloud & ~edge))
+            seen["cloud"] += int(np.sum(bound & cloud))
+            seen["edge"] += int(np.sum(bound & edge & ~jump))
+            seen["jump"] += int(np.sum(bound & jump))
+            return lam, cloud, edge, ok
+
+        monkeypatch.setattr(ms, "_budget_multipliers", recording)
+        cases = self._scenarios()
+        batch = solve_connected_multiscenario(
+            [(p, pr) for p, pr, _ in cases], nus=[nu for _, _, nu in cases])
+        assert all(seen.values()), seen
+        for (params, prices, nu), eq in zip(cases, batch):
+            ref = solve_connected_equilibrium(params, prices,
+                                              kernel="vectorized", _nu=nu)
             assert eq is not None
             assert np.array_equal(eq.e, ref.e)
             assert np.array_equal(eq.c, ref.c)

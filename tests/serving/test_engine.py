@@ -161,6 +161,26 @@ class TestPersistence:
             ServingEngine(cache=ScenarioCache(), cache_dir=tmp_path)
 
 
+class TestWarmIndex:
+    def test_memory_hits_are_not_reindexed(self):
+        engine = ServingEngine(max_workers=0)
+        spec = _grid(1)[0]
+        engine.serve(spec)
+        for _ in range(3000):
+            assert engine.serve(spec).source == "memory"
+        assert len(engine.warm_index) == 1
+
+    def test_disk_hit_is_indexed_once(self, tmp_path):
+        spec = _grid(1)[0]
+        ServingEngine(max_workers=0, cache_dir=tmp_path).serve(spec)
+        fresh = ServingEngine(max_workers=0, cache_dir=tmp_path)
+        assert len(fresh.warm_index) == 0
+        assert fresh.serve(spec).source == "disk"
+        assert len(fresh.warm_index) == 1
+        assert fresh.serve(spec).source == "memory"
+        assert len(fresh.warm_index) == 1
+
+
 class TestKeying:
     def test_key_for_is_stable_and_quantized(self):
         engine = ServingEngine()
